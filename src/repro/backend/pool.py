@@ -13,10 +13,16 @@ DES in :mod:`repro.perf.routing` uses:
 * ``size_threshold`` — small buffers to software (below break-even the
   invocation overhead dominates), large ones round-robin across chips.
 
-Batch submission rides the asynchronous paste/drain machinery when the
-per-chip backend provides it (``submit``/``poll``/``wait_all``), and
-falls back to synchronous execution when it does not, so the pool works
-identically over ``nx`` and ``dfltcc`` backends.
+Every job has one lifecycle, as a CRB does on the hardware: it is
+routed, submitted to its chip's executor, and completed in one place
+(:meth:`AcceleratorPool._finish_pending`), the only one that rescues,
+counts breaker failures and verifies.  Each chip has one executor,
+picked from what its backend exposes: the ``nx`` backend's own
+asynchronous paste/poll surface; for synchronous backends with exec
+workers on, an exec executor that runs jobs in worker processes; else
+an inline executor that runs the call at submit.  Blocking
+``compress``/``decompress`` take the inline executor (the asynchronous
+driver cannot carry a history DDE) and return their own job's result.
 
 The pool is also where resilience lives (the RAS discipline of the z15
 part — a shared accelerator fails *per request*, never per tenant):
@@ -85,6 +91,13 @@ def _hardware_clean(result: DriverResult) -> bool:
                 or getattr(stats, "spurious_ccs", 0))
 
 
+def _outcome(job: "PoolJob") -> DriverResult:
+    """A finished job's result, or its terminal error raised."""
+    if job.error is not None:
+        raise job.error
+    return job.result
+
+
 @dataclass(frozen=True)
 class PoolStats:
     """One immutable, mutually consistent snapshot of pool activity.
@@ -109,28 +122,39 @@ class PoolStats:
     breaker_states: tuple[str, ...] = ()
 
 
-class _ExecPending:
-    """Adapter giving an exec-layer job the driver-pending interface.
+#: Sequences of the pool's own pendings: unique, and never a driver's.
+_SEQUENCES = itertools.count(1)
 
-    :meth:`AcceleratorPool._finish_pending` consumes driver pendings
-    (``sequence``/``done``/``result``/``error``); wrapping a
-    :class:`~repro.exec.pool.ExecJob` in the same shape lets jobs that
-    ran in a pool worker flow through the *identical* completion path —
-    rescue, breaker accounting, verify-after-compress — as jobs the
-    async hardware drivers resolved.
-    """
 
-    __slots__ = ("sequence", "exec_job", "src_slab", "out_slab",
-                 "result", "error", "nbytes", "kind", "poisoned")
+class _Pending:
+    """A job on an inline or exec executor, shaped like a driver's."""
 
-    def __init__(self, sequence: str, exec_job,
-                 src_slab, out_slab) -> None:
-        self.sequence = sequence
+    __slots__ = ("sequence", "result", "error")
+
+    def __init__(self, prefix: str) -> None:
+        self.sequence = f"{prefix}:{next(_SEQUENCES)}"
+        self.result: DriverResult | None = None
+        self.error: Exception | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.result is not None or self.error is not None
+
+
+class _ExecPending(_Pending):
+    """An exec-layer job plus the shared-memory slabs it rides in."""
+
+    __slots__ = ("exec_job", "src_slab", "out_slab", "nbytes", "kind",
+                 "poisoned")
+
+    def __init__(self, exec_job, src_slab, out_slab, nbytes: int,
+                 kind: str) -> None:
+        super().__init__("exec")
         self.exec_job = exec_job
         self.src_slab = src_slab
         self.out_slab = out_slab
-        self.result: DriverResult | None = None
-        self.error: Exception | None = None
+        self.nbytes = nbytes
+        self.kind = kind
         #: An orphan-failed job's task may still sit in the shared queue;
         #: its slabs must be unlinked, never recycled, or a worker could
         #: eventually run the stale task and scribble over whichever job
@@ -139,14 +163,10 @@ class _ExecPending:
         #: its completion is ignored.
         self.poisoned = False
 
-    @property
-    def done(self) -> bool:
-        return self.result is not None or self.error is not None
-
 
 @dataclass
 class PoolJob:
-    """One batch-submitted request and where it was routed.
+    """One request, batch or blocking, and where it was routed.
 
     The original payload is retained until completion so a job whose
     chip fails mid-flight can be rescued in software.  ``error`` is set
@@ -161,6 +181,7 @@ class PoolJob:
     payload: bytes = field(default=b"", repr=False)
     fmt: str | None = None
     error: Exception | None = None
+    verify: bool = False
 
     @property
     def done(self) -> bool:
@@ -169,6 +190,174 @@ class PoolJob:
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+
+class _InlineExecutor:
+    """Runs a synchronous backend's call at submit: nothing is ever in
+    flight.  A blocking call builds its own to pass ``history``/``final``.
+    """
+
+    in_flight = 0
+
+    def __init__(self, backend: CompressionBackend, history: bytes = b"",
+                 final: bool = True) -> None:
+        self.backend = backend
+        self.history = history
+        self.final = final
+
+    def submit(self, kind: str, data: bytes, *, strategy: object = "auto",
+               fmt: str | None = None,
+               deadline_s: float | None = None) -> _Pending:
+        pending = _Pending("inline")
+        if kind == "compress":
+            pending.result = self.backend.compress(
+                data, strategy=strategy, fmt=fmt, history=self.history,
+                final=self.final, deadline_s=deadline_s)
+        else:
+            pending.result = self.backend.decompress(
+                data, fmt=fmt, history=self.history, deadline_s=deadline_s)
+        return pending
+
+    def poll(self) -> list[_Pending]:
+        return []
+
+    wait_all = cancel_pending = poll
+
+
+class _ExecExecutor:
+    """Runs a synchronous backend's jobs in exec-layer worker processes.
+
+    A job the execution layer cannot take (no worker pool, or a strategy
+    object rather than a name) runs inline instead.
+    """
+
+    def __init__(self, pool: "AcceleratorPool", chip: int) -> None:
+        self.pool = pool
+        self.inline = _InlineExecutor(pool.backend_for(chip))
+        self._open: list[_ExecPending] = []
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._open)
+
+    def submit(self, kind: str, data: bytes, *, strategy: object = "auto",
+               fmt: str | None = None,
+               deadline_s: float | None = None) -> _Pending:
+        """Ship one job to a pool worker; payload via shared memory.
+
+        The worker's spans nest under the submitting span, and the wire
+        trace context rides along as a ``traceparent``.
+        """
+        exec_pool = self.pool._exec()
+        if exec_pool is None or not isinstance(strategy, str):
+            return self.inline.submit(kind, data, strategy=strategy,
+                                      fmt=fmt, deadline_s=deadline_s)
+        allocator = exec_pool.allocator
+        src_slab = allocator.acquire(max(1, len(data)))
+        src_slab.write(0, data)
+        out_slab = out = None
+        if kind == "compress":
+            # Compressed output fits input + slack; decompressed output
+            # is unbounded, so it rides back inline instead.
+            cap = len(data) + len(data) // 4 + 256
+            out_slab = allocator.acquire(cap)
+            out = (out_slab.name, 0, cap)
+        ctx = _TRACE.current_ctx()
+        pool = self.pool
+        exec_job = exec_pool.submit(
+            "backend_job",
+            span_parent=_TRACE.current(),
+            traceparent=ctx.to_traceparent() if ctx else None,
+            backend=pool.backend_name,
+            machine=pool.machine.name,
+            backend_kwargs=pool._backend_kwargs,
+            kind=kind, fmt=fmt, strategy=strategy,
+            deadline_s=deadline_s,
+            src=(src_slab.name, 0, len(data)),
+            out=out)
+        pending = _ExecPending(exec_job, src_slab, out_slab, len(data),
+                               kind)
+        self._open.append(pending)
+        return pending
+
+    def poll(self) -> list[_Pending]:
+        return self._drain(block=False)
+
+    def wait_all(self) -> list[_Pending]:
+        return self._drain(block=True)
+
+    # Exec jobs are CPU work already running in a worker, not wedged
+    # hardware: cancelling drains them to completion.
+    cancel_pending = wait_all
+
+    def _resolve(self, pending: _ExecPending) -> None:
+        exec_job = pending.exec_job
+        try:
+            if exec_job.error is not None:
+                pending.error = exec_job.error
+            elif exec_job.result is None:
+                pending.error = ExecError(
+                    "exec job resolved with neither result nor error")
+            else:
+                record = exec_job.result
+                output = record.get("inline")
+                if output is None:
+                    output = pending.out_slab.read(0, record["n"])
+                pending.result = DriverResult(output=output, csb=None,
+                                              stats=record["stats"])
+                # The worker instance's accounting died with the job's
+                # process; record once against the parent-side instance
+                # so BackendStats and the registry stay truthful.
+                self.inline.backend._record(pending.result, pending.nbytes,
+                                            pending.kind)
+        finally:
+            allocator = self.pool._exec_pool.allocator
+            for slab in (pending.src_slab, pending.out_slab):
+                if slab is None:
+                    continue
+                if pending.poisoned:
+                    slab.destroy()
+                else:
+                    allocator.release(slab)
+
+    def _drain(self, block: bool) -> list[_Pending]:
+        """Resolve finished exec jobs; returns their pendings.
+
+        The execution pool is shared (parallel_deflate batches ride the
+        same fleet), so this never trusts the pool's own returned job
+        lists — it polls the pool, then checks *its* handles.
+        """
+        exec_pool = self.pool._exec_pool
+        if exec_pool is None or not self._open:
+            return []
+        if block:
+            # A worker killed between popping a task and writing its
+            # claim record leaves a job nothing will ever resolve.  A
+            # stalled *total* wait can't distinguish that from a long
+            # queue, so the orphan verdict is progress-based: only when
+            # no handle at all resolves for the full window are the
+            # stragglers failed (the completion path then rescues them).
+            handles = [pending.exec_job for pending in self._open]
+            while not all(job.done for job in handles):
+                done_before = sum(job.done for job in handles)
+                try:
+                    exec_pool.wait([job for job in handles if not job.done],
+                                   timeout_s=_EXEC_ORPHAN_TIMEOUT_S)
+                except TimeoutError:
+                    if sum(job.done for job in handles) > done_before:
+                        continue  # progress: not orphaned, keep waiting
+                    for pending in self._open:
+                        if not pending.exec_job.done:
+                            pending.poisoned = True
+                            exec_pool.fail_job(pending.exec_job, WorkerCrash(
+                                "job orphaned by a dying worker"))
+        else:
+            exec_pool.poll()
+        finished = [p for p in self._open if p.exec_job.done]
+        for pending in finished:
+            self._resolve(pending)
+            self._open.remove(pending)
+        return finished
 
 
 class AcceleratorPool:
@@ -202,10 +391,10 @@ class AcceleratorPool:
         self.verify = verify
         self.allow_software_rescue = allow_software_rescue
         self._backend_kwargs = backend_kwargs
-        self._instances: list[CompressionBackend | None] = [None] * chips
-        self._software: CompressionBackend | None = None
+        # Per-chip state lists carry one extra, last slot: SOFTWARE (-1).
+        self._instances: list[CompressionBackend | None] = [None] * (chips + 1)
         self._rr_state = [0]
-        self._pending_bytes = [0] * chips
+        self._pending_bytes = [0] * (chips + 1)
         self.dispatch_counts = [0] * chips
         self.software_jobs = 0
         self.rescues = 0
@@ -213,51 +402,40 @@ class AcceleratorPool:
         self._open: list[PoolJob] = []
         self._by_pending: dict[tuple[int, object], PoolJob] = {}
         self._next_index = 0
+        # Each chip's executor, picked at its first batch job.
+        self._executors: dict[int, object] = {}
         # Process-based execution of batch submits on synchronous
         # backends: opt-in via exec_workers (shared warm pool) or an
         # explicitly provided exec_pool.
         self.exec_workers = exec_workers
         self._exec_pool = exec_pool
-        self._exec_seq = itertools.count(1)
-        self._exec_open: list[tuple[int, _ExecPending]] = []
         self._lock = threading.Lock()
         # One lock per chip handle (plus software): a chip's send window
         # serves one request context at a time, so concurrent callers
         # serialize per chip while different chips run in parallel.
-        self._chip_locks = [threading.Lock() for _ in range(chips)]
-        self._software_lock = threading.Lock()
+        self._chip_locks = [threading.Lock() for _ in range(chips + 1)]
 
     # -- instance management -------------------------------------------------
 
     def backend_for(self, chip: int) -> CompressionBackend:
         """The (lazily created) backend instance serving ``chip``."""
-        if chip == SOFTWARE:
-            if self._software is None:
-                with self._lock:
-                    if self._software is None:
-                        self._software = create_backend(
-                            "software", machine=self.machine)
-            return self._software
-        if not 0 <= chip < self.chips:
+        if not SOFTWARE <= chip < self.chips:
             raise ConfigError(f"chip {chip} outside pool of {self.chips}")
         if self._instances[chip] is None:
             with self._lock:
                 if self._instances[chip] is None:
-                    self._instances[chip] = create_backend(
-                        self.backend_name, machine=self.machine,
-                        **self._backend_kwargs)
+                    self._instances[chip] = (
+                        create_backend("software", machine=self.machine)
+                        if chip == SOFTWARE else
+                        create_backend(self.backend_name,
+                                       machine=self.machine,
+                                       **self._backend_kwargs))
         return self._instances[chip]
-
-    def _op_lock(self, chip: int) -> threading.Lock:
-        return (self._software_lock if chip == SOFTWARE
-                else self._chip_locks[chip])
 
     def close(self) -> None:
         for instance in self._instances:
             if instance is not None:
                 instance.close()
-        if self._software is not None:
-            self._software.close()
 
     def __enter__(self) -> "AcceleratorPool":
         return self
@@ -281,12 +459,7 @@ class AcceleratorPool:
             return SOFTWARE
         available = self.health.available_chips()
         if not available:
-            if self.allow_software_rescue:
-                _TRACE.event("pool.all_chips_down")
-                _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
-                return SOFTWARE
-            raise ChipUnavailable(
-                "every chip's circuit breaker is open")
+            return self._all_chips_down("every chip's circuit breaker is open")
         policy = ("round_robin" if self.policy == "size_threshold"
                   else self.policy)
         with self._lock:
@@ -316,20 +489,8 @@ class AcceleratorPool:
             _REGISTRY.counter("repro_pool_dispatch_total",
                               "jobs routed per chip").inc(1, chip=target)
 
-    def _route_traced(self, nbytes: int, home: int) -> int:
+    def _route_spanned(self, nbytes: int, home: int) -> int:
         """Route + probes + dispatch accounting, under a span."""
-        chip, _span = self._route_spanned(nbytes, home)
-        return chip
-
-    def _route_spanned(self, nbytes: int, home: int) -> tuple[int, object]:
-        """Like :meth:`_route_traced`, also returning the route span.
-
-        The (closed) ``pool.route`` span is the parent that worker-side
-        spans folded back from the execution layer nest under — fold
-        only reads its identifiers, so handing out a finished span is
-        fine.
-        """
-        span = None
         if _TRACE.enabled:
             with _TRACE.span("pool.route", policy=self.policy,
                              nbytes=nbytes, home=home) as span:
@@ -338,7 +499,7 @@ class AcceleratorPool:
         else:
             chip = self._route_healthy(nbytes, home)
         self._dispatch(chip)
-        return chip, span
+        return chip
 
     def _route_healthy(self, nbytes: int, home: int) -> int:
         """One routing tick; half-open picks must pass their probes."""
@@ -348,11 +509,15 @@ class AcceleratorPool:
             if chip == SOFTWARE or self._probe(chip):
                 return chip
         # Every half-open candidate failed its probe this tick.
-        if self.allow_software_rescue:
-            _TRACE.event("pool.all_chips_down")
-            _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
-            return SOFTWARE
-        raise ChipUnavailable("no chip passed its recovery probe")
+        return self._all_chips_down("no chip passed its recovery probe")
+
+    def _all_chips_down(self, reason: str) -> int:
+        """Software takes the job, unless rescue is off."""
+        if not self.allow_software_rescue:
+            raise ChipUnavailable(reason)
+        _TRACE.event("pool.all_chips_down")
+        _FLIGHT.auto_dump("all_chips_down", chips=self.chips)
+        return SOFTWARE
 
     def _probe(self, chip: int) -> bool:
         """Run known-answer probes while ``chip`` is half-open.
@@ -365,7 +530,7 @@ class AcceleratorPool:
         from ..nx.selftest import probe_backend
 
         backend = self.backend_for(chip)
-        with self._op_lock(chip):
+        with self._chip_locks[chip]:
             while self.health.needs_probe(chip):
                 if not hasattr(backend, "accelerator"):
                     # Software-ish backend: nothing hardware to probe.
@@ -385,58 +550,16 @@ class AcceleratorPool:
                  final: bool = True, home: int = 0,
                  deadline_s: float | None = None,
                  verify: bool | None = None) -> DriverResult:
-        chip = self._route_traced(len(data), home)
-        backend = self.backend_for(chip)
-        fmt = fmt or backend.capabilities().default_format
-        try:
-            with self._op_lock(chip):
-                result = backend.compress(data, strategy=strategy, fmt=fmt,
-                                          history=history, final=final,
-                                          deadline_s=deadline_s)
-        except DeadlineExceeded:
-            # A late chip is a sick chip, but the deadline is the
-            # caller's contract — no software rescue behind its back.
-            self._note_health(chip, healthy=False)
-            _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
-                              kind="compress", chip=chip, nbytes=len(data))
-            raise
-        except AcceleratorError as exc:
-            if chip == SOFTWARE:
-                raise
-            self._note_health(chip, healthy=False)
-            result = self._rescue("compress", data, fmt, exc)
-        else:
-            self._note_health(chip, healthy=_hardware_clean(result))
-        do_verify = self.verify if verify is None else verify
-        if do_verify and final and not history:
-            result = self._verified(chip, data, fmt, result)
-        return result
+        return _outcome(self._start(
+            "compress", data, strategy, fmt, home, deadline_s, inline=True,
+            history=history, final=final, verify=verify))
 
     def decompress(self, payload: bytes, *, fmt: str | None = None,
                    history: bytes = b"", home: int = 0,
                    deadline_s: float | None = None) -> DriverResult:
-        chip = self._route_traced(len(payload), home)
-        backend = self.backend_for(chip)
-        fmt = fmt or backend.capabilities().default_format
-        try:
-            with self._op_lock(chip):
-                result = backend.decompress(payload, fmt=fmt,
-                                            history=history,
-                                            deadline_s=deadline_s)
-        except DeadlineExceeded:
-            self._note_health(chip, healthy=False)
-            _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
-                              kind="decompress", chip=chip,
-                              nbytes=len(payload))
-            raise
-        except AcceleratorError as exc:
-            if chip == SOFTWARE:
-                raise
-            self._note_health(chip, healthy=False)
-            result = self._rescue("decompress", payload, fmt, exc)
-        else:
-            self._note_health(chip, healthy=_hardware_clean(result))
-        return result
+        return _outcome(self._start(
+            "decompress", payload, "auto", fmt, home, deadline_s,
+            inline=True, history=history))
 
     # -- resilience plumbing -------------------------------------------------
 
@@ -450,13 +573,7 @@ class AcceleratorPool:
 
     def _rescue(self, kind: str, data: bytes, fmt: str,
                 cause: Exception) -> DriverResult:
-        """Re-run a failed hardware job on the calling core.
-
-        Raises the original ``cause`` when rescue is disabled — the
-        caller asked for fail-fast semantics.
-        """
-        if not self.allow_software_rescue:
-            raise cause
+        """Re-run a failed hardware job on the calling core."""
         with self._lock:
             self.rescues += 1
         _TRACE.event("pool.rescue", kind=kind, cause=type(cause).__name__)
@@ -502,7 +619,7 @@ class AcceleratorPool:
         stats.elapsed_seconds += seconds
         return DriverResult(output=output, csb=None, stats=stats)
 
-    # -- asynchronous batch submission ---------------------------------------
+    # -- the job lifecycle ---------------------------------------------------
 
     def submit_compress(self, data: bytes, *, strategy: object = "auto",
                         fmt: str | None = None, home: int = 0,
@@ -519,93 +636,104 @@ class AcceleratorPool:
     def _submit(self, kind: str, data: bytes, strategy: object,
                 fmt: str | None, home: int,
                 deadline_s: float | None = None) -> PoolJob:
-        chip, route_span = self._route_spanned(len(data), home)
-        backend = self.backend_for(chip)
-        fmt = fmt or backend.capabilities().default_format
-        with self._lock:
-            job = PoolJob(index=self._next_index, chip=chip,
-                          nbytes=len(data), kind=kind, payload=data,
-                          fmt=fmt)
-            self._next_index += 1
-        if chip != SOFTWARE and hasattr(backend, "submit"):
-            with self._op_lock(chip):
-                pending = backend.submit(kind, data, strategy=strategy,
-                                         fmt=fmt, deadline_s=deadline_s)
-            with self._lock:
-                self._pending_bytes[chip] += len(data)
-                self._by_pending[(chip, pending.sequence)] = job
-            self._publish_in_flight()
-            # The paste itself may have resolved the job (software
-            # fallback on a wedged window, deadline, permanent CC).
-            if pending.done:
-                self._finish_pending(chip, pending)
-        elif (chip != SOFTWARE and isinstance(strategy, str)
-                and self._exec() is not None):
-            # Synchronous backend + execution layer: the job runs in a
-            # pool worker process and resolves through the same
-            # _finish_pending path as driver completions, so rescue,
-            # breakers, and verify behave identically.
-            pending = self._submit_exec(chip, kind, data, strategy, fmt,
-                                        deadline_s,
-                                        span_parent=route_span)
-            with self._lock:
-                self._pending_bytes[chip] += len(data)
-                self._by_pending[(chip, pending.sequence)] = job
-                self._exec_open.append((chip, pending))
-            self._publish_in_flight()
-        else:
-            with self._op_lock(chip):
-                if kind == "compress":
-                    job.result = backend.compress(data, strategy=strategy,
-                                                  fmt=fmt,
-                                                  deadline_s=deadline_s)
-                else:
-                    job.result = backend.decompress(data, fmt=fmt,
-                                                    deadline_s=deadline_s)
+        """Start a batch job; :meth:`wait_all` returns its result."""
+        job = self._start(kind, data, strategy, fmt, home, deadline_s)
         with self._lock:
             self._open.append(job)
         return job
 
-    def _finish_pending(self, chip: int, pending) -> PoolJob | None:
-        """Resolve one driver completion into its pool job.
+    def _start(self, kind: str, data: bytes, strategy: object,
+               fmt: str | None, home: int, deadline_s: float | None, *,
+               inline: bool = False, history: bytes = b"",
+               final: bool = True, verify: bool | None = None) -> PoolJob:
+        """Route one job and submit it to its chip's executor, or with
+        ``inline`` to an inline one (a blocking call).  A submit failing
+        on the accelerator resolves the job with that failure; other
+        errors (a malformed payload) raise."""
+        chip = self._route_spanned(len(data), home)
+        backend = self.backend_for(chip)
+        fmt = fmt or backend.capabilities().default_format
+        verify = self.verify if verify is None else verify
+        with self._lock:
+            job = PoolJob(index=self._next_index, chip=chip,
+                          nbytes=len(data), kind=kind, payload=data,
+                          fmt=fmt, verify=(verify and kind == "compress"
+                                           and final and not history))
+            self._next_index += 1
+        with self._chip_locks[chip]:
+            executor = (_InlineExecutor(backend, history, final) if inline
+                        else self._executor(chip))
+            try:
+                pending = executor.submit(kind, data, strategy=strategy,
+                                          fmt=fmt, deadline_s=deadline_s)
+            except AcceleratorError as exc:
+                pending = _Pending("failed")
+                pending.error = exc
+        with self._lock:
+            self._pending_bytes[chip] += len(data)
+            self._by_pending[(chip, pending.sequence)] = job
+        if pending.done:
+            self._finish_pending(chip, pending)
+        else:
+            self._publish_in_flight()
+        return job
 
-        Failed hardware jobs are rescued in software (the caller still
-        gets correct bytes) except for deadline failures, which stay
-        failed — rescuing would blow the caller's latency contract.
+    def _executor(self, chip: int):
+        """The executor serving ``chip``'s batch jobs, picked once."""
+        executor = self._executors.get(chip)
+        if executor is None:
+            backend = self.backend_for(chip)
+            if hasattr(backend, "submit"):
+                executor = backend
+            elif chip != SOFTWARE and (self.exec_workers is not None
+                                       or self._exec_pool is not None):
+                executor = _ExecExecutor(self, chip)
+            else:
+                executor = _InlineExecutor(backend)
+            self._executors[chip] = executor
+        return executor
+
+    def _finish_pending(self, chip: int, pending) -> PoolJob | None:
+        """Resolve one executor completion into its pool job.
+
+        A failed hardware job is rescued in software (the caller still
+        gets correct bytes), except on the software instance itself and
+        for deadline failures: rescuing would blow the caller's latency
+        contract.
         """
         with self._lock:
             job = self._by_pending.pop((chip, pending.sequence), None)
             if job is None:
                 return None
             self._pending_bytes[chip] -= job.nbytes
+        self._publish_in_flight()
         if pending.result is None:
             error = pending.error or AcceleratorError(
                 "pending job resolved with neither result nor error")
+            # A late chip is a sick chip, but the deadline is still the
+            # caller's contract: no software rescue behind its back.
+            late = isinstance(error, DeadlineExceeded)
             self._note_health(chip, healthy=False)
-            if (self.allow_software_rescue
-                    and not isinstance(error, DeadlineExceeded)):
+            if late:
+                _FLIGHT.auto_dump("deadline_exceeded", layer="pool",
+                                  kind=job.kind, chip=chip,
+                                  nbytes=job.nbytes)
+            if late or chip == SOFTWARE or not self.allow_software_rescue:
+                job.error = error
+            else:
                 try:
                     job.result = self._rescue(job.kind, job.payload,
                                               job.fmt, error)
                 except Exception as exc:  # bad input: fails anywhere
                     job.error = exc
-            else:
-                job.error = error
         else:
             self._note_health(chip,
                               healthy=_hardware_clean(pending.result))
             job.result = pending.result
-            if self.verify and job.kind == "compress":
+            if job.verify:
                 job.result = self._verified(chip, job.payload, job.fmt,
                                             job.result)
         return job
-
-    # -- process-based execution of sync-backend batches ---------------------
-
-    @property
-    def exec_enabled(self) -> bool:
-        """Whether batch submits may run on the process execution layer."""
-        return self.exec_workers is not None or self._exec_pool is not None
 
     def _exec(self):
         """The execution pool serving this AcceleratorPool, if enabled."""
@@ -623,144 +751,22 @@ class AcceleratorPool:
                 return None
         return self._exec_pool
 
-    def _submit_exec(self, chip: int, kind: str, data: bytes,
-                     strategy: str, fmt: str,
-                     deadline_s: float | None,
-                     span_parent: object = None) -> _ExecPending:
-        """Ship one job to a pool worker; payload via shared memory.
-
-        ``span_parent`` (normally the request's ``pool.route`` span) is
-        where the worker's folded spans nest; the current wire trace
-        context rides along as a ``traceparent`` so the worker's root
-        span also joins the originating trace on the wire level.
-        """
-        pool = self._exec_pool
-        allocator = pool.allocator
-        src_slab = allocator.acquire(max(1, len(data)))
-        src_slab.write(0, data)
-        out_slab = None
-        out = None
-        if kind == "compress":
-            # Compressed output fits input + slack; decompressed output
-            # is unbounded, so it rides back inline instead.
-            cap = len(data) + len(data) // 4 + 256
-            out_slab = allocator.acquire(cap)
-            out = (out_slab.name, 0, cap)
-        ctx = _TRACE.current_ctx()
-        exec_job = pool.submit(
-            "backend_job",
-            span_parent=(span_parent if span_parent is not None
-                         else _TRACE.current()),
-            traceparent=ctx.to_traceparent() if ctx else None,
-            backend=self.backend_name,
-            machine=self.machine.name,
-            backend_kwargs=self._backend_kwargs,
-            kind=kind, fmt=fmt, strategy=strategy,
-            deadline_s=deadline_s,
-            src=(src_slab.name, 0, len(data)),
-            out=out)
-        pending = _ExecPending(f"exec:{next(self._exec_seq)}", exec_job,
-                               src_slab, out_slab)
-        pending.nbytes = len(data)
-        pending.kind = kind
-        return pending
-
-    def _resolve_exec(self, chip: int, pending: _ExecPending) -> None:
-        """Translate a finished exec job into a pending result/error."""
-        exec_job = pending.exec_job
-        try:
-            if exec_job.error is not None:
-                pending.error = exec_job.error
-            elif exec_job.result is None:
-                pending.error = ExecError(
-                    "exec job resolved with neither result nor error")
-            else:
-                record = exec_job.result
-                output = record.get("inline")
-                if output is None:
-                    output = pending.out_slab.read(0, record["n"])
-                pending.result = DriverResult(output=output, csb=None,
-                                              stats=record["stats"])
-                # The worker instance's accounting died with the job's
-                # process; record once against the parent-side instance
-                # so BackendStats and the registry stay truthful.
-                self.backend_for(chip)._record(pending.result,
-                                               pending.nbytes,
-                                               pending.kind)
-        finally:
-            allocator = self._exec_pool.allocator
-            for slab in (pending.src_slab, pending.out_slab):
-                if slab is None:
-                    continue
-                if pending.poisoned:
-                    slab.destroy()
-                else:
-                    allocator.release(slab)
-
-    def _drain_exec(self, block: bool) -> list[PoolJob]:
-        """Resolve finished exec jobs through the completion path.
-
-        The execution pool is shared (parallel_deflate batches ride the
-        same fleet), so this never trusts the pool's own returned job
-        lists — it polls the pool, then checks *its* handles.
-        """
-        with self._lock:
-            open_pendings = list(self._exec_open)
-        pool = self._exec_pool
-        if pool is None or not open_pendings:
-            return []
-        if block:
-            # A worker killed between popping a task and writing its
-            # claim record leaves a job nothing will ever resolve.  A
-            # stalled *total* wait can't distinguish that from a long
-            # queue, so the orphan verdict is progress-based: only when
-            # no handle at all resolves for the full window are the
-            # stragglers failed (rescue then recomputes them).
-            handles = [pending.exec_job for _, pending in open_pendings]
-            while any(not job.done for job in handles):
-                done_before = sum(1 for job in handles if job.done)
-                try:
-                    pool.wait([job for job in handles if not job.done],
-                              timeout_s=_EXEC_ORPHAN_TIMEOUT_S)
-                except TimeoutError:
-                    if sum(1 for job in handles
-                           if job.done) > done_before:
-                        continue  # progress: not orphaned, keep waiting
-                    for _, pending in open_pendings:
-                        if not pending.exec_job.done:
-                            pending.poisoned = True
-                            pool.fail_job(pending.exec_job, WorkerCrash(
-                                "job orphaned by a dying worker"))
-        else:
-            pool.poll()
+    def _collect(self, step) -> list[PoolJob]:
+        """Apply ``step`` to every chip's executor under the chip's lock
+        and finish each pending it hands back."""
         finished: list[PoolJob] = []
-        for chip, pending in open_pendings:
-            if not pending.exec_job.done:
-                continue
-            self._resolve_exec(chip, pending)
-            with self._lock:
-                self._exec_open.remove((chip, pending))
-            job = self._finish_pending(chip, pending)
-            if job is not None:
-                finished.append(job)
-        return finished
-
-    def poll(self) -> list[PoolJob]:
-        """Drain every chip once; returns jobs that resolved."""
-        finished: list[PoolJob] = []
-        for chip, instance in enumerate(self._instances):
-            if instance is None or not hasattr(instance, "poll"):
-                continue
-            with self._op_lock(chip):
-                resolved = instance.poll()
+        for chip, executor in list(self._executors.items()):
+            with self._chip_locks[chip]:
+                resolved = step(executor)
             for pending in resolved:
                 job = self._finish_pending(chip, pending)
                 if job is not None:
                     finished.append(job)
-        finished.extend(self._drain_exec(block=False))
-        if finished:
-            self._publish_in_flight()
         return finished
+
+    def poll(self) -> list[PoolJob]:
+        """Drain every chip once; returns jobs that resolved."""
+        return self._collect(lambda executor: executor.poll())
 
     def wait_all(self) -> list[DriverResult | None]:
         """Complete every open job; results in submission order.
@@ -769,19 +775,10 @@ class AcceleratorPool:
         yields ``None`` in its slot; its exception is on the
         :class:`PoolJob` handle returned at submit time.
         """
-        for chip, instance in enumerate(self._instances):
-            if (instance is None or not hasattr(instance, "wait_all")
-                    or not instance.in_flight):
-                continue
-            with self._op_lock(chip):
-                resolved = instance.wait_all()
-            for pending in resolved:
-                self._finish_pending(chip, pending)
-        self._drain_exec(block=True)
+        self._collect(lambda executor: executor.wait_all())
         with self._lock:
             results = [job.result for job in self._open]
             self._open = []
-        self._publish_in_flight()
         return results
 
     @property
@@ -796,24 +793,9 @@ class AcceleratorPool:
         reclaims window credits; the abandoned jobs come back through
         :meth:`_finish_pending`, where the normal failure path applies —
         so with rescue enabled callers still receive correct bytes,
-        computed on the CPU.
+        computed on the CPU.  Exec jobs are drained to completion.
         """
-        resolved: list[PoolJob] = []
-        for chip, instance in enumerate(self._instances):
-            if instance is None or not hasattr(instance, "cancel_pending"):
-                continue
-            with self._op_lock(chip):
-                cancelled = instance.cancel_pending()
-            for pending in cancelled:
-                job = self._finish_pending(chip, pending)
-                if job is not None:
-                    resolved.append(job)
-        # Exec jobs are CPU work already running in a worker, not wedged
-        # hardware: drain them to completion rather than abandoning.
-        resolved.extend(self._drain_exec(block=True))
-        if resolved:
-            self._publish_in_flight()
-        return resolved
+        return self._collect(lambda executor: executor.cancel_pending())
 
     def suggested_batch_depth(self) -> int:
         """How many jobs a caller should coalesce per async batch.
@@ -851,23 +833,14 @@ class AcceleratorPool:
         matching request total.
         """
         with self._lock:
-            instances = [i for i in self._instances if i is not None]
-            if self._software is not None:
-                instances.append(self._software)
-            requests = bytes_in = bytes_out = faults = fallbacks = 0
-            modelled = 0.0
-            for instance in instances:
-                part = instance.stats()
-                requests += part.requests
-                bytes_in += part.bytes_in
-                bytes_out += part.bytes_out
-                modelled += part.modelled_seconds
-                faults += part.faults
-                fallbacks += part.fallbacks
+            parts = [i.stats() for i in self._instances if i is not None]
             return PoolStats(
-                requests=requests, bytes_in=bytes_in, bytes_out=bytes_out,
-                modelled_seconds=modelled, faults=faults,
-                fallbacks=fallbacks,
+                requests=sum(p.requests for p in parts),
+                bytes_in=sum(p.bytes_in for p in parts),
+                bytes_out=sum(p.bytes_out for p in parts),
+                modelled_seconds=sum(p.modelled_seconds for p in parts),
+                faults=sum(p.faults for p in parts),
+                fallbacks=sum(p.fallbacks for p in parts),
                 dispatch_counts=tuple(self.dispatch_counts),
                 software_jobs=self.software_jobs,
                 in_flight=len(self._by_pending),

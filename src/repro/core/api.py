@@ -133,42 +133,23 @@ class NxGzip:
         this one call.
         """
         deadline_s = deadline_s if deadline_s is not None else self.deadline_s
-        if _TRACE.enabled:
-            with _TRACE.span("api.compress", backend=self.backend_name,
-                             fmt=fmt, nbytes=len(data)) as span:
-                result = self.backend.compress(data, strategy=strategy,
-                                               fmt=fmt,
-                                               deadline_s=deadline_s)
-                span.set(out_bytes=len(result.output),
-                         modelled_s=result.stats.elapsed_seconds)
-        else:
-            result = self.backend.compress(data, strategy=strategy, fmt=fmt,
-                                           deadline_s=deadline_s)
+        result = self._traced(
+            "api.compress", lambda: self.backend.compress(
+                data, strategy=strategy, fmt=fmt, deadline_s=deadline_s),
+            fmt=fmt, nbytes=len(data))
         result = self._maybe_verify(data, fmt, result, verify)
-        self._account(len(data), len(result.output), result, "compress")
-        return CompressedBuffer(data=result.output,
-                                modelled_seconds=result.stats.elapsed_seconds,
-                                driver=result)
+        return self._buffer(len(data), result, "compress")
 
     def decompress(self, payload: bytes,
                    fmt: str = "gzip",
                    deadline_s: float | None = None) -> CompressedBuffer:
         """Decompress ``payload`` produced in the same wire format."""
         deadline_s = deadline_s if deadline_s is not None else self.deadline_s
-        if _TRACE.enabled:
-            with _TRACE.span("api.decompress", backend=self.backend_name,
-                             fmt=fmt, nbytes=len(payload)) as span:
-                result = self.backend.decompress(payload, fmt=fmt,
-                                                 deadline_s=deadline_s)
-                span.set(out_bytes=len(result.output),
-                         modelled_s=result.stats.elapsed_seconds)
-        else:
-            result = self.backend.decompress(payload, fmt=fmt,
-                                             deadline_s=deadline_s)
-        self._account(len(payload), len(result.output), result, "decompress")
-        return CompressedBuffer(data=result.output,
-                                modelled_seconds=result.stats.elapsed_seconds,
-                                driver=result)
+        result = self._traced(
+            "api.decompress", lambda: self.backend.decompress(
+                payload, fmt=fmt, deadline_s=deadline_s),
+            fmt=fmt, nbytes=len(payload))
+        return self._buffer(len(payload), result, "decompress")
 
     def _maybe_verify(self, data: bytes, fmt: str, result: DriverResult,
                       verify: bool | None) -> DriverResult:
@@ -187,32 +168,19 @@ class NxGzip:
 
     def compress_842(self, data: bytes) -> CompressedBuffer:
         """Compress through the 842 pipes (memory-compression format)."""
-        if _TRACE.enabled:
-            with _TRACE.span("api.compress", backend=self.backend_name,
-                             fmt="842", nbytes=len(data)) as span:
-                result = self.backend.compress(data, fmt="842")
-                span.set(out_bytes=len(result.output))
-        else:
-            result = self.backend.compress(data, fmt="842")
+        result = self._traced(
+            "api.compress", lambda: self.backend.compress(data, fmt="842"),
+            fmt="842", nbytes=len(data))
         result = self._maybe_verify(data, "842", result, None)
-        self._account(len(data), len(result.output), result, "compress")
-        return CompressedBuffer(data=result.output,
-                                modelled_seconds=result.stats.elapsed_seconds,
-                                driver=result)
+        return self._buffer(len(data), result, "compress")
 
     def decompress_842(self, payload: bytes) -> CompressedBuffer:
         """Decompress an 842 stream produced by :meth:`compress_842`."""
-        if _TRACE.enabled:
-            with _TRACE.span("api.decompress", backend=self.backend_name,
-                             fmt="842", nbytes=len(payload)) as span:
-                result = self.backend.decompress(payload, fmt="842")
-                span.set(out_bytes=len(result.output))
-        else:
-            result = self.backend.decompress(payload, fmt="842")
-        self._account(len(payload), len(result.output), result, "decompress")
-        return CompressedBuffer(data=result.output,
-                                modelled_seconds=result.stats.elapsed_seconds,
-                                driver=result)
+        result = self._traced(
+            "api.decompress",
+            lambda: self.backend.decompress(payload, fmt="842"),
+            fmt="842", nbytes=len(payload))
+        return self._buffer(len(payload), result, "decompress")
 
     def compress_chunk(self, chunk: bytes, strategy: str = "auto",
                        history: bytes = b"",
@@ -222,18 +190,11 @@ class NxGzip:
         The streaming layer calls this per chunk so faults/fallbacks on
         streaming requests land in :attr:`stats` like every other path.
         """
-        if _TRACE.enabled:
-            with _TRACE.span("api.compress_chunk",
-                             backend=self.backend_name,
-                             nbytes=len(chunk), final=final) as span:
-                result = self.backend.compress(chunk, strategy=strategy,
-                                               fmt="raw", history=history,
-                                               final=final)
-                span.set(out_bytes=len(result.output))
-        else:
-            result = self.backend.compress(chunk, strategy=strategy,
-                                           fmt="raw", history=history,
-                                           final=final)
+        result = self._traced(
+            "api.compress_chunk", lambda: self.backend.compress(
+                chunk, strategy=strategy, fmt="raw", history=history,
+                final=final),
+            nbytes=len(chunk), final=final)
         self._account(len(chunk), len(result.output), result, "compress")
         return result
 
@@ -260,6 +221,24 @@ class NxGzip:
         self.close()
 
     # -- helpers -----------------------------------------------------------
+
+    def _traced(self, name: str, call, **attrs) -> DriverResult:
+        """Run one backend call, under an ``api.*`` span when tracing."""
+        if not _TRACE.enabled:
+            return call()
+        with _TRACE.span(name, backend=self.backend_name, **attrs) as span:
+            result = call()
+            span.set(out_bytes=len(result.output),
+                     modelled_s=result.stats.elapsed_seconds)
+        return result
+
+    def _buffer(self, nin: int, result: DriverResult,
+                op: str) -> CompressedBuffer:
+        """Account one finished call and wrap its bytes for the caller."""
+        self._account(nin, len(result.output), result, op)
+        return CompressedBuffer(data=result.output,
+                                modelled_seconds=result.stats.elapsed_seconds,
+                                driver=result)
 
     def _account(self, nin: int, nout: int, result: DriverResult,
                  op: str = "compress") -> None:

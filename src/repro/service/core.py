@@ -16,9 +16,10 @@ queues and a single dispatcher thread drives them through the shared
   via :class:`~repro.service.qos.QosPolicy`: the high FIFO preempts at
   batch granularity, the starvation bound keeps bulk moving.
 * **Batch coalescing** — up to ``max_batch`` requests of one class are
-  folded into one async batch submission (``submit``/``wait_all``),
-  sized by the E16 saturation depth via
-  :meth:`~repro.backend.pool.AcceleratorPool.suggested_batch_depth`.
+  folded into one batch, sized by the E16 saturation depth via
+  :meth:`~repro.backend.pool.AcceleratorPool.suggested_batch_depth`,
+  and submitted and waited for (``submit``/``wait_all``) even when it
+  holds one request: every job takes the pool's one lifecycle.
 * **Resilience** — breaker-aware routing, software rescue, and
   deadlines all come from the pool; a batch whose engine wedges is
   cancelled (:meth:`~repro.backend.pool.AcceleratorPool.cancel_in_flight`)
@@ -183,7 +184,6 @@ class CompressionService:
                  policy: str = "round_robin",
                  qos: QosPolicy | None = None,
                  starvation_bound: int = DEFAULT_STARVATION_BOUND,
-                 batching: bool = True,
                  verify: bool = False,
                  exec_workers: int | None = None,
                  result_cache: ResultCache | None = None,
@@ -194,9 +194,9 @@ class CompressionService:
             self._own_pool = False
         else:
             # exec_workers enables the process-based execution layer on
-            # the service's pool: batch submits on synchronous backends
-            # run in persistent worker processes instead of on this
-            # dispatcher thread, so the dispatcher stays an I/O loop.
+            # the service's pool: jobs on synchronous backends run in
+            # persistent worker processes instead of on this dispatcher
+            # thread, so the dispatcher stays an I/O loop.
             self.pool = AcceleratorPool(machine=machine, chips=chips,
                                         policy=policy, backend=backend,
                                         verify=verify,
@@ -205,7 +205,6 @@ class CompressionService:
             self._own_pool = True
         self.qos = qos or QosPolicy(DEFAULT_CLASSES,
                                     starvation_bound=starvation_bound)
-        self.batching = batching
         # The content-addressed result cache (dictionary service).
         # ``cache_mb`` is the serve-time knob; an explicit cache wins.
         if result_cache is None and cache_mb is not None:
@@ -614,36 +613,25 @@ class CompressionService:
                                 "requests coalesced per dispatch",
                                 buckets=(1, 2, 4, 8, 16, 32)).observe(
                 len(live), qos=qcls.name)
-        # A singleton normally runs inline on the dispatcher thread, but
-        # when the pool fronts a process execution layer even a batch of
-        # one goes through submit/wait so the work leaves this I/O loop.
-        use_batch = self.batching and (
-            len(live) > 1 or getattr(self.pool, "exec_enabled", False))
-        if use_batch:
-            # The batch span hangs off the first live request's span (and
-            # wire trace), so the exported tree nests client ->
-            # service.request -> service.batch -> pool -> worker.  Pool
-            # work is genuinely batch-scoped, so the other coalesced
-            # requests link to it via request_ids rather than owning
-            # duplicate copies of the pool spans.
-            first = next((req.span for req in live
-                          if isinstance(req.span, Span)), None)
-            batch_ctx = None
-            if first is not None and first.ctx is not None:
-                batch_ctx = first.ctx.child()
-            batch_span = _TRACE.span_detached(
-                "service.batch", parent=first, ctx=batch_ctx,
-                qos=qcls.name, size=len(live),
-                request_ids=[req.ticket.request_id for req in live])
-            try:
-                with _TRACE.adopt(batch_span):
-                    jobs = self._submit_batch(live)
-                    self._await_batch(live, jobs)
-            finally:
-                batch_span.end()
-        else:
-            for req in live:
-                self._run_sync(req)
+        # The batch span hangs off the first live request's span (and
+        # wire trace): client -> service.request -> service.batch ->
+        # pool -> worker.  The other coalesced requests link to it via
+        # request_ids rather than owning copies of the pool spans.
+        first = next((req.span for req in live
+                      if isinstance(req.span, Span)), None)
+        batch_ctx = (first.ctx.child()
+                     if first is not None and first.ctx is not None
+                     else None)
+        batch_span = _TRACE.span_detached(
+            "service.batch", parent=first, ctx=batch_ctx,
+            qos=qcls.name, size=len(live),
+            request_ids=[req.ticket.request_id for req in live])
+        try:
+            with _TRACE.adopt(batch_span):
+                jobs = self._submit_batch(live)
+                self._await_batch(live, jobs)
+        finally:
+            batch_span.end()
 
     def _submit_batch(self, live: list[_Queued]) -> list[PoolJob | None]:
         # Runs under the adopted service.batch span: pool.route /
@@ -688,25 +676,6 @@ class CompressionService:
                 error = job.error or AcceleratorError(
                     "batch job resolved without result or error")
                 self._resolve_error(req, error)
-
-    def _run_sync(self, req: _Queued) -> None:
-        with _TRACE.adopt(req.span):
-            try:
-                if req.op == "compress":
-                    result = self.pool.compress(
-                        req.payload, strategy=req.strategy, fmt=req.fmt,
-                        deadline_s=req.deadline_s)
-                else:
-                    result = self.pool.decompress(
-                        req.payload, fmt=req.fmt,
-                        deadline_s=req.deadline_s)
-            except ReproError as exc:
-                # Same contract as _submit_batch: a bad payload fails
-                # the one request, never the dispatcher thread.
-                self._resolve_error(req, exc)
-                return
-        self._resolve_ok(req, result.output,
-                         result.stats.elapsed_seconds, batch_size=1)
 
     # -- fulfilment ----------------------------------------------------------
 

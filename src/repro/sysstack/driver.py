@@ -170,10 +170,11 @@ class NxDriver:
             stats.submissions += 1
             stats.elapsed_seconds += machine.submit_overhead_us * 1e-6
 
-            if not self._paste_sync(crb, stats, attempt, deadline_s):
+            if not self._paste(crb, stats, deadline_s,
+                               lambda: self.accelerator.drain(self.space),
+                               attempt=attempt):
                 break  # window wedged (credit leak): software fallback
 
-            stats.elapsed_seconds += machine.dispatch_overhead_us * 1e-6
             completed = self.accelerator.drain(self.space)
             outcome = _match_completion(completed, crb.sequence)
             if outcome is None:
@@ -251,26 +252,26 @@ class NxDriver:
 
     # -- paste with bounded backoff ------------------------------------------
 
-    def _paste_sync(self, crb: Crb, stats: SubmissionStats, attempt: int,
-                    deadline_s: float | None) -> bool:
-        """Paste one CRB, draining the engine between rejected tries.
+    def _paste(self, crb: Crb, stats: SubmissionStats,
+               deadline_s: float | None, catch_up, **span_attrs) -> bool:
+        """Paste one CRB, calling ``catch_up`` between rejected tries.
 
         Returns False when :attr:`retry_policy` declares the window
         wedged (credits never free) — the caller falls back to software
         instead of spinning forever.
         """
-        if _TRACE.enabled:
-            rejected_before = stats.paste_rejections
-            with _TRACE.span("vas.paste", attempt=attempt,
-                             window=self._window_id) as paste_span:
-                accepted = self._paste_loop(crb, stats, deadline_s)
-                paste_span.set(rejections=stats.paste_rejections
-                               - rejected_before, accepted=accepted)
-            return accepted
-        return self._paste_loop(crb, stats, deadline_s)
+        if not _TRACE.enabled:
+            return self._paste_loop(crb, stats, deadline_s, catch_up)
+        rejected_before = stats.paste_rejections
+        with _TRACE.span("vas.paste", **span_attrs,
+                         window=self._window_id) as paste_span:
+            accepted = self._paste_loop(crb, stats, deadline_s, catch_up)
+            paste_span.set(rejections=stats.paste_rejections
+                           - rejected_before, accepted=accepted)
+        return accepted
 
     def _paste_loop(self, crb: Crb, stats: SubmissionStats,
-                    deadline_s: float | None) -> bool:
+                    deadline_s: float | None, catch_up) -> bool:
         policy = self.retry_policy
         retries = 0
         while not self.accelerator.vas.paste(self._window_id, crb):
@@ -281,7 +282,11 @@ class NxDriver:
             stats.elapsed_seconds += policy.backoff_s(retries,
                                                       token=crb.sequence)
             check_deadline(stats.elapsed_seconds, deadline_s, "vas.paste")
-            self.accelerator.drain(self.space)  # engine catch-up
+            catch_up()
+        # The engine dispatches the accepted CRB; both the synchronous
+        # and the batch path pay for it here, once per accepted paste.
+        stats.elapsed_seconds += (
+            self.accelerator.machine.dispatch_overhead_us * 1e-6)
         return True
 
 
@@ -375,35 +380,17 @@ class AsyncNxDriver(NxDriver):
         """Bounded paste; drains completions (kept for later polls)
         while waiting for a credit.  False when the window is wedged."""
         job.stats.submissions += 1
-        if _TRACE.enabled:
-            rejected_before = job.stats.paste_rejections
-            with _TRACE.span("vas.paste", sequence=job.sequence,
-                             window=self._window_id) as span:
-                accepted = self._async_paste_loop(job)
-                span.set(rejections=job.stats.paste_rejections
-                         - rejected_before, accepted=accepted)
-            return accepted
-        return self._async_paste_loop(job)
 
-    def _async_paste_loop(self, job: PendingJob) -> bool:
-        policy = self.retry_policy
-        retries = 0
-        while not self.accelerator.vas.paste(self._window_id, job.crb):
-            job.stats.paste_rejections += 1
-            retries += 1
-            if retries > policy.max_paste_retries:
-                return False
-            job.stats.elapsed_seconds += policy.backoff_s(
-                retries, token=job.sequence)
-            check_deadline(job.stats.elapsed_seconds, job.deadline_s,
-                           "vas.paste")
+        def catch_up() -> None:
             # Free credits by draining completions; anything finished
             # here is stashed for the next poll(), not dropped.
             # (poll() rebinds self._unclaimed, so it must run before
             # the attribute is read for the extend.)
             drained = self.poll()
             self._unclaimed.extend(drained)
-        return True
+
+        return self._paste(job.crb, job.stats, job.deadline_s, catch_up,
+                           sequence=job.sequence)
 
     def poll(self) -> list[PendingJob]:
         """Drain the engine; returns jobs that resolved on this poll.

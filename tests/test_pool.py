@@ -7,7 +7,7 @@ import gzip as stdlib_gzip
 import pytest
 
 from repro.backend import SOFTWARE, AcceleratorPool
-from repro.errors import ConfigError
+from repro.errors import AcceleratorError, ConfigError, DeadlineExceeded
 from repro.nx.accelerator import NxAccelerator
 from repro.nx.params import POWER9, Z15
 from repro.sysstack.driver import NxDriver
@@ -144,3 +144,116 @@ def test_driver_reopen_after_close_allocates_fresh_window():
     driver.open()
     assert len(accelerator.vas.windows) == 1
     driver.close()
+
+
+# -- one job lifecycle: every executor completes a job the same way ----------
+
+#: Executor kind -> (machine, backend, extra pool kwargs).
+EXECUTORS = {
+    "nx": ("POWER9", "nx", {}),
+    "inline": ("z15", "dfltcc", {}),
+    "exec": ("z15", "dfltcc", {"exec_workers": 1}),
+}
+
+
+def _executor_pool(kind: str, **kwargs) -> AcceleratorPool:
+    machine, backend, extra = EXECUTORS[kind]
+    return AcceleratorPool(machine, chips=1, backend=backend, **extra,
+                           **kwargs)
+
+
+def _compress_via(pool: AcceleratorPool, data: bytes, path: str):
+    """Compress through the blocking call or a batch of one."""
+    if path == "sync":
+        return pool.compress(data, fmt="gzip")
+    job = pool.submit_compress(data, fmt="gzip")
+    pool.wait_all()
+    assert job.done
+    if job.error is not None:
+        raise job.error
+    return job.result
+
+
+def _inject(backend, error: Exception) -> None:
+    """Make every compress on this backend instance fail with ``error``."""
+    def fail(*args, **kwargs):
+        raise error
+    backend._compress = fail
+    if hasattr(backend, "submit"):
+        backend.submit = fail
+
+
+@pytest.fixture
+def exec_teardown():
+    from repro.exec import shutdown_default_pool
+    yield
+    shutdown_default_pool()
+
+
+@pytest.mark.parametrize("path", ["sync", "batch"])
+@pytest.mark.parametrize("kind", ["nx", "inline", "exec"])
+def test_verify_runs_once_per_compress(kind, path, text_20k, monkeypatch,
+                                       exec_teardown):
+    import repro.backend.pool as pool_module
+
+    calls = []
+    real = pool_module.verify_payload
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "verify_payload", counting)
+    with _executor_pool(kind, verify=True) as pool:
+        result = _compress_via(pool, text_20k, path)
+        assert pool.stats().verify_failures == 0
+    assert stdlib_gzip.decompress(result.output) == text_20k
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", ["sync", "batch"])
+@pytest.mark.parametrize("kind", ["nx", "inline"])
+def test_accelerator_error_is_rescued_and_counted(kind, path, text_20k):
+    with _executor_pool(kind) as pool:
+        _inject(pool.backend_for(0), AcceleratorError("injected"))
+        result = _compress_via(pool, text_20k, path)
+        assert stdlib_gzip.decompress(result.output) == text_20k
+        assert result.stats.fallback_to_software
+        assert pool.stats().rescues == 1
+        assert pool.health.breakers[0].consecutive_failures == 1
+        assert pool.in_flight == 0
+
+
+@pytest.mark.parametrize("path", ["sync", "batch"])
+@pytest.mark.parametrize("kind", ["nx", "inline"])
+def test_deadline_exceeded_is_never_rescued(kind, path, text_20k):
+    with _executor_pool(kind) as pool:
+        _inject(pool.backend_for(0), DeadlineExceeded("injected late"))
+        with pytest.raises(DeadlineExceeded):
+            _compress_via(pool, text_20k, path)
+        assert pool.stats().rescues == 0
+        assert pool.health.breakers[0].consecutive_failures == 1
+        assert pool.in_flight == 0
+
+
+def test_sync_jobs_stay_out_of_batch_results(text_20k):
+    with AcceleratorPool(Z15, chips=1, backend="dfltcc") as pool:
+        job = pool.submit_compress(text_20k)
+        pool.compress(b"a blocking call between submit and wait")
+        assert pool.wait_all() == [job.result]
+        assert pool.stats().rescues == 0
+
+
+@pytest.mark.parametrize("machine", [POWER9, Z15])
+@pytest.mark.parametrize("size", [256, 4096, 65536])
+def test_nx_modelled_time_same_sync_and_async(machine, size):
+    """A fault-free job costs the same modelled time on either path."""
+    data = generate("markov_text", size, seed=size)
+    with AcceleratorPool(machine, chips=1, backend="nx") as pool:
+        sync = pool.compress(data, fmt="gzip")
+        job = pool.submit_compress(data, fmt="gzip")
+        pool.wait_all()
+    assert job.result.output == sync.output
+    assert job.result.stats.submissions == sync.stats.submissions == 1
+    assert job.result.stats.elapsed_seconds == pytest.approx(
+        sync.stats.elapsed_seconds, rel=1e-12)

@@ -152,8 +152,9 @@ class TestBatching:
             assert result.batch_size <= max(depth, 1)
 
     def test_batching_disabled_still_serves(self):
-        with CompressionService(chips=1, batching=False,
-                                qos=small_policy(8)) as svc:
+        # A per-class ceiling of one dispatches every request alone.
+        with CompressionService(chips=1,
+                                qos=small_policy(8, max_batch=1)) as svc:
             data = b"v" * 20000
             tickets = [svc.submit("compress", data, qos="bulk")
                        for _ in range(4)]
